@@ -56,9 +56,6 @@ func main() {
 			if c.Protocol != "" {
 				fmt.Printf(" protocol=%s", c.Protocol)
 			}
-			if c.Shards != 0 {
-				fmt.Printf(" shards=%d", c.Shards)
-			}
 			fmt.Println()
 		}
 		return
@@ -172,19 +169,12 @@ func load(path string) (*bench.Snapshot, error) {
 }
 
 func render(s *bench.Snapshot) {
-	fmt.Printf("%-28s %14s %12s %16s %14s %8s %s\n",
-		"case", "ns/op", "allocs/op", "sim-cycles/sec", "events/sec", "ev/win", "sched")
+	fmt.Printf("%-28s %14s %12s %16s %14s %8s\n",
+		"case", "ns/op", "allocs/op", "sim-cycles/sec", "events/sec", "ev/win")
 	for _, r := range s.Results {
-		sched := "windowed"
-		switch {
-		case r.FastPath:
-			sched = "fast"
-		case r.Steals > 0:
-			sched = fmt.Sprintf("steals=%d", r.Steals)
-		}
-		fmt.Printf("%-28s %14.0f %12.0f %16.3e %14.3e %8.1f %s\n",
+		fmt.Printf("%-28s %14.0f %12.0f %16.3e %14.3e %8.1f\n",
 			r.Name, r.NsPerOp, r.AllocsPerOp, r.SimCyclesPerSec, r.EventsPerSec,
-			r.EventsPerWindow, sched)
+			r.EventsPerWindow)
 	}
 	if s.Baseline != nil {
 		cyc, alloc := bench.Speedup(s, s.Baseline)

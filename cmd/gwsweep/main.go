@@ -40,8 +40,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -66,7 +64,6 @@ func realMain() int {
 		topo     = flag.String("topo", "", "interconnect topology for every cell: mesh|ring|torus|xbar (empty = the Table 1 mesh)")
 		nodes    = flag.Int("nodes", 0, "interconnect node count (0 = the Table 1 24; mesh/torus fold it into the most square grid)")
 		jobs     = flag.Int("jobs", 0, "parallel simulation workers (0 = all CPUs)")
-		shards   = flag.String("shards", "auto", "shard workers per simulated machine: a count, or auto = all host CPUs (results are identical for every value)")
 		cacheDir = flag.String("cache", harness.DefaultCacheDir, "result cache directory")
 		noCache  = flag.Bool("nocache", false, "disable the on-disk result cache")
 		remote   = flag.String("remote", "", "comma-separated gwcached base URLs in preference order (e.g. http://primary:8344,http://standby:8344); the client fails over and readopts automatically")
@@ -91,13 +88,8 @@ func realMain() int {
 		fmt.Fprintln(os.Stderr, "gwsweep:", err)
 		return 2
 	}
-	nshards, err := parseShards(*shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gwsweep:", err)
-		return 2
-	}
 	opt := harness.Options{Scale: *scale, Threads: *threads, Protocol: *protocol,
-		Shards: nshards, Topo: *topo, Nodes: *nodes}
+		Topo: *topo, Nodes: *nodes}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
 	if err != nil {
@@ -193,12 +185,8 @@ func realMain() int {
 		}
 		if ws := r.WindowSummary(); ws.Windows > 0 {
 			fmt.Fprintf(os.Stderr,
-				"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d)",
-				ws.Windows, ws.Merges, ws.EventsPerWindow(), ws.MaxWindow)
-			if ws.Steals > 0 {
-				fmt.Fprintf(os.Stderr, ", %d steals", ws.Steals)
-			}
-			fmt.Fprintf(os.Stderr, ", fast path on %d/%d cells\n", ws.FastCells, ws.Cells)
+				"gwsweep: windows: %d drained, %d merged barriers, %.1f events/window (max %d) over %d cells\n",
+				ws.Windows, ws.Merges, ws.EventsPerWindow(), ws.MaxWindow, ws.Cells)
 		}
 		if rc != nil {
 			s, _ := rc.RemoteStats()
@@ -379,10 +367,6 @@ func run(r *harness.Runner, exp string, opt harness.Options) error {
 	return fmt.Errorf("unknown experiment %q", exp)
 }
 
-// parseShards resolves the -shards flag: "auto" means one shard worker per
-// host CPU (the simulated schedule is shard-count-invariant, so auto never
-// changes results, only wall-clock). Explicit counts must be positive; the
-// machine clamps them to the tile count.
 // splitURLs parses the -remote flag: comma-separated server URLs in
 // preference order, blanks dropped.
 func splitURLs(s string) []string {
@@ -393,15 +377,4 @@ func splitURLs(s string) []string {
 		}
 	}
 	return urls
-}
-
-func parseShards(s string) (int, error) {
-	if s == "auto" {
-		return runtime.GOMAXPROCS(0), nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n < 1 {
-		return 0, fmt.Errorf("invalid -shards %q: want a positive count or auto", s)
-	}
-	return n, nil
 }

@@ -56,9 +56,10 @@ type (
 	// MsgClass is a coherence traffic class (GETS/GETX/UPGRADE/Data/Other).
 	MsgClass = stats.MsgClass
 	// WindowStats holds the window-scheduling counters of a run (windows
-	// drained, merge barriers, work steals, fast-path engagement). They
-	// describe how the simulation was driven, not what it computed, and are
-	// host-dependent — never part of Stats or a determinism fingerprint.
+	// drained, merge barriers, staged effects, events). They are
+	// deterministic, but they describe how the simulation was driven, not
+	// what it computed, so they are never part of Stats or a determinism
+	// fingerprint.
 	WindowStats = sim.WindowStats
 )
 
@@ -176,12 +177,6 @@ type Config struct {
 	// ProfileSimilarity records the d-distance between every store value
 	// and the value it overwrites (the Fig. 2 methodology). Off by default.
 	ProfileSimilarity bool
-	// Shards is the number of host worker goroutines that drain the
-	// sharded simulator's per-tile timing wheels (0 or 1 = sequential).
-	// Purely a host-parallelism knob: results are bit-identical for every
-	// value (see DESIGN.md §12). Omitted from JSON when zero so cache keys
-	// minted before sharding stay valid.
-	Shards int `json:"Shards,omitempty"`
 }
 
 // System is one simulated CMP. Build inputs with Alloc/Preload (or the
@@ -240,7 +235,6 @@ func (c Config) MachineConfig() machine.Config {
 	mc.AdaptiveGITimeout = c.AdaptiveGITimeout
 	mc.StaleLoads = c.StaleLoads
 	mc.ProfileSimilarity = c.ProfileSimilarity
-	mc.Shards = c.Shards
 	return mc
 }
 

@@ -49,14 +49,12 @@ type Result struct {
 	SimCyclesPerSec float64 `json:"simCyclesPerSec"`
 	EventsPerSec    float64 `json:"eventsPerSec"`
 	// Window-occupancy counters of the warm run: how the window scheduler
-	// drove the simulation (fast path vs windows, barrier density, steals).
-	// Observability only — host-dependent, additive to the v1 schema, and
-	// absent from pre-PR-9 snapshots.
+	// drove the simulation (window count, barrier density). Deterministic
+	// per case, additive to the v1 schema, and absent from older
+	// snapshots.
 	Windows         uint64  `json:"windows,omitempty"`
 	WindowMerges    uint64  `json:"windowMerges,omitempty"`
 	EventsPerWindow float64 `json:"eventsPerWindow,omitempty"`
-	Steals          uint64  `json:"steals,omitempty"`
-	FastPath        bool    `json:"fastPath,omitempty"`
 }
 
 // Snapshot is the BENCH_<n>.json payload. Baseline optionally embeds the
@@ -73,9 +71,7 @@ type Snapshot struct {
 
 // Case is one pinned benchmark: an application at a fixed d-distance,
 // scale, and thread count. Protocol optionally names the coherence
-// protocol table; empty keeps the legacy d-distance rule. Shards sets the
-// simulator's shard-worker count (0 = sequential); it never changes the
-// simulated result, only which engine path the benchmark times.
+// protocol table; empty keeps the legacy d-distance rule.
 type Case struct {
 	Name     string
 	App      string
@@ -83,11 +79,10 @@ type Case struct {
 	Scale    int
 	Threads  int
 	Protocol string
-	Shards   int
 }
 
 func (c Case) opt() harness.Options {
-	return harness.Options{Scale: c.Scale, Threads: c.Threads, Protocol: c.Protocol, Shards: c.Shards}
+	return harness.Options{Scale: c.Scale, Threads: c.Threads, Protocol: c.Protocol}
 }
 
 // Suite returns the pinned benchmark cases: the Fig. 1 microbenchmarks and
@@ -106,12 +101,6 @@ func Suite() []Case {
 		// Pure table-interpreted MESI with scribbles escalating to stores:
 		// the protocol selected by name rather than by d-distance.
 		{Name: "linear_regression/mesi", App: "linear_regression", DDist: 8, Scale: 1, Threads: 24, Protocol: "mesi"},
-		// Sharded-engine cases: the same simulations driven by parallel
-		// shard workers over the per-tile timing wheels. Results are
-		// identical to the sequential cases; the timing measures the window
-		// scheduler and barrier merge under both light and full sharding.
-		{Name: "linear_regression/d8/shards4", App: "linear_regression", DDist: 8, Scale: 1, Threads: 24, Shards: 4},
-		{Name: "histogram/d8/shards24", App: "histogram", DDist: 8, Scale: 1, Threads: 24, Shards: 24},
 	}
 }
 
@@ -150,8 +139,6 @@ func Run(c Case, iters int) (Result, error) {
 		Windows:         warm.Window.Windows,
 		WindowMerges:    warm.Window.Merges,
 		EventsPerWindow: warm.Window.EventsPerWindow(),
-		Steals:          warm.Window.Steals,
-		FastPath:        warm.Window.FastPath,
 	}
 	if ns > 0 {
 		r.SimCyclesPerSec = float64(r.SimCycles) / (ns / 1e9)

@@ -32,10 +32,6 @@ type Options struct {
 	// legacy rule: positive d-distances run Ghostwriter, d = 0 runs the
 	// baseline.
 	Protocol string
-	// Shards is the host-parallelism degree of each simulated machine's
-	// sharded engine (0 = sequential). Simulation results are
-	// shard-count-invariant; this only trades host cores for wall-clock.
-	Shards int
 	// Topo names the interconnect topology every cell runs on ("mesh",
 	// "ring", "torus", "xbar"). Empty keeps the Table 1 6x4 mesh.
 	Topo string
@@ -59,12 +55,13 @@ type RunResult struct {
 	Energy  ghostwriter.EnergyMeter
 	// ErrorPct is the application's Table 2 metric, in percent.
 	ErrorPct float64
-	// Window holds the run's window-scheduling counters. It is excluded
-	// from JSON deliberately: the values are host-dependent observability
-	// (steals vary with OS scheduling), so they must not change cache
-	// entries, cache keys, or determinism fingerprints — all of which are
-	// derived from this struct's JSON form. Cache hits therefore report a
-	// zero Window, which is accurate: a hit drained no windows.
+	// Window holds the run's window-scheduling counters. Two runs of one
+	// Spec report equal counters, but they describe how the engine drove
+	// the run rather than what it computed, so they are excluded from JSON
+	// deliberately: they must not change cache entries, cache keys, or
+	// determinism fingerprints — all of which are derived from this
+	// struct's JSON form. Cache hits therefore report a zero Window, which
+	// is accurate: a hit drained no windows.
 	Window ghostwriter.WindowStats `json:"-"`
 }
 

@@ -54,10 +54,10 @@ type TimingReport struct {
 	// including how many crashed leases the dispatcher reclaimed.
 	Fleet *SweepStatus `json:"fleet,omitempty"`
 	// Window carries the window-occupancy aggregates of the freshly
-	// simulated cells (windows drained, merge barriers, steals, fast-path
-	// engagement) — the "why" behind the throughput numbers above. Like
-	// everything else in TimingReport it measures the host, not the
-	// simulation, and is absent when every cell was a cache hit.
+	// simulated cells (windows drained, merge barriers, events per window)
+	// — the "why" behind the throughput numbers above. It describes how
+	// the simulation was driven, not what it computed, and is absent when
+	// every cell was a cache hit.
 	Window *WindowSummary `json:"window,omitempty"`
 	// Cells lists every cell in grid order with its wall-clock cost.
 	Cells []CellTiming `json:"cells,omitempty"`

@@ -85,8 +85,6 @@ type Runner struct {
 	winWindows   atomic.Uint64
 	winMerges    atomic.Uint64
 	winEvents    atomic.Uint64
-	winSteals    atomic.Uint64
-	winFastCells atomic.Uint64
 	winMaxWindow atomic.Uint64
 
 	mu       sync.Mutex
@@ -131,17 +129,14 @@ func (r *Runner) SimCycles() uint64 { return r.simCycles.Load() }
 
 // WindowSummary aggregates the window-scheduling counters of every cell a
 // sweep actually simulated: how many lookahead windows were drained, how
-// many of their barriers merged cross-tile effects, how densely windows
-// were packed, how often workers stole tile drains, and how many cells ran
-// on the single-shard fast path. Pure observability — host-dependent,
-// never part of a fingerprint or cached result.
+// many of their barriers merged cross-tile effects, and how densely
+// windows were packed. The counters are deterministic per cell, but they
+// are observability only — never part of a fingerprint or cached result.
 type WindowSummary struct {
 	Windows   uint64 `json:"windows"`   // lookahead windows drained
 	Merges    uint64 `json:"merges"`    // barriers that applied staged effects
 	Events    uint64 `json:"events"`    // events fired inside window drains
 	MaxWindow uint64 `json:"maxWindow"` // most events fired in one window
-	Steals    uint64 `json:"steals"`    // whole-tile drains stolen across workers
-	FastCells uint64 `json:"fastCells"` // cells that ran on the fast path
 	Cells     uint64 `json:"cells"`     // simulated cells contributing
 }
 
@@ -161,8 +156,6 @@ func (r *Runner) WindowSummary() WindowSummary {
 		Merges:    r.winMerges.Load(),
 		Events:    r.winEvents.Load(),
 		MaxWindow: r.winMaxWindow.Load(),
-		Steals:    r.winSteals.Load(),
-		FastCells: r.winFastCells.Load(),
 		Cells:     r.simulated.Load(),
 	}
 }
@@ -177,8 +170,6 @@ func (w WindowSummary) since(prev WindowSummary) WindowSummary {
 		Merges:    w.Merges - prev.Merges,
 		Events:    w.Events - prev.Events,
 		MaxWindow: w.MaxWindow,
-		Steals:    w.Steals - prev.Steals,
-		FastCells: w.FastCells - prev.FastCells,
 		Cells:     w.Cells - prev.Cells,
 	}
 }
@@ -189,10 +180,6 @@ func (r *Runner) addWindowStats(w ghostwriter.WindowStats) {
 	r.winWindows.Add(w.Windows)
 	r.winMerges.Add(w.Merges)
 	r.winEvents.Add(w.Events)
-	r.winSteals.Add(w.Steals)
-	if w.FastPath {
-		r.winFastCells.Add(1)
-	}
 	for {
 		cur := r.winMaxWindow.Load()
 		if w.MaxWindow <= cur || r.winMaxWindow.CompareAndSwap(cur, w.MaxWindow) {

@@ -40,13 +40,6 @@ type Spec struct {
 	// keys minted before protocols were selectable stay valid: an
 	// old-format key (no protocol field) means exactly the legacy rule.
 	Protocol string `json:"protocol,omitempty"`
-	// Shards is the host-parallelism degree of the sharded simulator
-	// (0 = sequential). Results are shard-count-invariant, but the knob is
-	// still part of the key — the key's contract is "any field change
-	// produces a different key", and keeping it is what the differential
-	// determinism tests verify against. Omitted when zero so pre-sharding
-	// cache keys stay valid.
-	Shards int `json:"shards,omitempty"`
 	// Topo names the interconnect topology ("mesh", "ring", "torus",
 	// "xbar") and Nodes its node count. Empty/zero keep the Table 1 6x4
 	// mesh and are omitted from JSON, so cache keys minted before the
@@ -69,7 +62,6 @@ func specFor(name string, opt Options, ddist int, profile bool, policy ghostwrit
 		DDist:    ddist,
 		Profile:  profile,
 		Protocol: opt.Protocol,
-		Shards:   opt.Shards,
 		Topo:     opt.Topo,
 		Nodes:    opt.Nodes,
 		Config:   ghostwriter.Config{Policy: policy},
@@ -86,9 +78,6 @@ func specFor(name string, opt Options, ddist int, profile bool, policy ghostwrit
 func (s Spec) effective() ghostwriter.Config {
 	cfg := s.Config
 	cfg.ProfileSimilarity = s.Profile
-	if s.Shards != 0 {
-		cfg.Shards = s.Shards
-	}
 	if s.Topo != "" {
 		cfg.Topo = s.Topo
 	}

@@ -73,14 +73,6 @@ type Config struct {
 	MigratoryOpt bool
 	// ProfileSimilarity turns on the Fig. 2 store-value d-distance profiler.
 	ProfileSimilarity bool
-	// Shards is the number of worker goroutines that drain the per-tile
-	// timing wheels inside each lookahead window. 0 and 1 both mean the
-	// caller's goroutine drains everything itself. The simulated schedule
-	// — every cycle count, every stat, every byte of output — is
-	// shard-count-invariant by construction (see DESIGN.md §12), so this
-	// is purely a host-parallelism knob. Omitted from JSON when zero so
-	// pre-sharding cache keys stay valid.
-	Shards int `json:",omitempty"`
 }
 
 // DefaultConfig mirrors Table 1 of the paper: 24 in-order cores at 1 GHz,
@@ -116,11 +108,11 @@ type Machine struct {
 	backing *mem.Memory
 	alloc   *mem.Allocator
 
-	// Counters are sharded like the engine: each tile's components write
-	// only their own meter/stats, and the window merge phase writes the
-	// merge pair (link arbitration). Stats()/Energy() fold everything into
-	// the merged views in fixed tile order, so the totals are identical
-	// for every shard count.
+	// Counters are kept per tile: each tile's components write only their
+	// own meter/stats, and the window merge phase writes the merge pair
+	// (link arbitration). Stats()/Energy() fold everything into the merged
+	// views in fixed tile order, so the floating-point accumulation order
+	// — and with it every energy fingerprint — is fixed.
 	tileMeters []*energy.Meter
 	tileStats  []*stats.Stats
 	mergeMeter *energy.Meter
@@ -155,7 +147,7 @@ func New(cfg Config) *Machine {
 	}
 	m := &Machine{
 		cfg:        cfg,
-		clu:        sim.NewCluster(nodes, lookahead, cfg.Shards),
+		clu:        sim.NewCluster(nodes, lookahead),
 		backing:    mem.New(),
 		alloc:      mem.NewAllocator(0x1_0000, cfg.L1.BlockSize),
 		tileMeters: make([]*energy.Meter, nodes),
@@ -169,7 +161,7 @@ func New(cfg Config) *Machine {
 		m.tileMeters[i] = &energy.Meter{}
 		m.tileStats[i] = &stats.Stats{}
 	}
-	m.net = noc.NewSharded(m.clu, cfg.Mesh, m.tileMeters, m.tileStats, m.mergeMeter, m.mergeSt)
+	m.net = noc.NewStaged(m.clu, cfg.Mesh, m.tileMeters, m.tileStats, m.mergeMeter, m.mergeSt)
 
 	for _, n := range cfg.DirNodes {
 		m.dirNode = append(m.dirNode, noc.NodeID(n))
@@ -360,8 +352,7 @@ func (m *Machine) ResetStats() {
 
 // Energy returns the run's energy meter, folded from the per-tile meters
 // (in tile order) plus the merge-phase meter. Floating-point accumulation
-// order is therefore fixed, keeping the joules deterministic and
-// shard-count-invariant.
+// order is therefore fixed, keeping the joules deterministic.
 func (m *Machine) Energy() *energy.Meter {
 	*m.meter = energy.Meter{}
 	for _, tm := range m.tileMeters {
@@ -375,10 +366,10 @@ func (m *Machine) Energy() *energy.Meter {
 func (m *Machine) Cycles() uint64 { return uint64(m.clu.Now()) }
 
 // WindowStats returns the cluster's window-scheduling counters (windows
-// drained, merge barriers, steals, fast-path engagement), cumulative since
-// construction. They describe how the run was driven, not what it
-// computed: the values are host- and shard-dependent, so they must never
-// enter Stats, a fingerprint, or a cached result.
+// drained, merge barriers, staged effects, events), cumulative since
+// construction. They are deterministic, but they describe how the run was
+// driven, not what it computed, so they stay out of Stats, fingerprints,
+// and cached results.
 func (m *Machine) WindowStats() sim.WindowStats { return m.clu.WindowStats() }
 
 // dirFor returns the home directory object for a block address.

@@ -341,8 +341,8 @@ const (
 )
 
 // issue receives the thread's next request; this is the strict engine ↔
-// kernel handoff that keeps the simulation deterministic. It runs on the
-// worker of the thread's current tile, so it may touch the thread and the
+// kernel handoff that keeps the simulation deterministic. It runs as an
+// event of the thread's current tile, so it may touch the thread and the
 // tile freely but machine-global thread state only via staging. A request
 // carrying folded compute cycles is parked and applied once they elapse,
 // reproducing the timing of a separate compute step exactly.
@@ -397,9 +397,9 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 }
 
 // threadMerge applies a staged done/barrier/migration request at the
-// window barrier. It runs on the coordinator with every tile quiescent;
-// panics (such as migration-target violations) therefore surface from Run
-// on the caller's goroutine.
+// window barrier, with every tile quiescent; panics (such as
+// migration-target violations) surface from Run on the caller's
+// goroutine.
 func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 	t := arg.(*Thread)
 	switch aux & 0xff {

@@ -7,7 +7,6 @@ package mem
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 )
 
 // Addr is a simulated physical byte address.
@@ -27,14 +26,10 @@ const arenaPages = 16
 // The page index stays a map (the address space is genuinely sparse), but
 // block-sized protocol accesses hit the same page repeatedly, so a
 // single-entry cache in front of it serves the common case without a map
-// lookup, and page storage comes from a growable arena.
+// lookup, and page storage comes from a growable arena. A Memory is not
+// safe for concurrent use: a machine touches its backing store from one
+// goroutine at a time.
 type Memory struct {
-	// mu guards the page index, the single-entry cache, and the arena. In
-	// a sharded run the per-home DRAM channels read and write the backing
-	// store from different tile workers concurrently; the data itself is
-	// conflict-free (each block address has exactly one home directory),
-	// but these bookkeeping structures are shared.
-	mu    sync.Mutex
 	pages map[Addr]*[pageSize]byte
 	// Last page resolved; lastPage is nil when lastBase is unset/missing.
 	lastBase Addr
@@ -70,8 +65,6 @@ func (m *Memory) page(a Addr, create bool) *[pageSize]byte {
 
 // Read copies len(dst) bytes starting at a into dst.
 func (m *Memory) Read(a Addr, dst []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(dst) > 0 {
 		off := int(a & (pageSize - 1))
 		n := pageSize - off
@@ -92,8 +85,6 @@ func (m *Memory) Read(a Addr, dst []byte) {
 
 // Write copies src into memory starting at a.
 func (m *Memory) Write(a Addr, src []byte) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	for len(src) > 0 {
 		off := int(a & (pageSize - 1))
 		n := pageSize - off

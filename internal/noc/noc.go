@@ -52,7 +52,7 @@ func DefaultConfig() Config {
 // Lookahead returns the minimum cross-tile message latency — the cheapest
 // possible hop of cfg's topology. It lower-bounds how far in the future any
 // cross-tile send can take effect, which is exactly the conservative window
-// width the sharded simulator needs. Mesh, ring, and torus hops cost one
+// width the windowed simulator needs. Mesh, ring, and torus hops cost one
 // router plus one link traversal; a crossbar hop crosses the switch and both
 // wire segments, so its window is RouterDelay+2·LinkDelay. Total for every
 // Topo value (unknown names get the mesh bound) so cache-key derivation
@@ -66,9 +66,9 @@ func (cfg Config) Lookahead() sim.Cycle {
 
 // Network is an interconnect bound either to a single simulation engine
 // (immediate mode: every Send schedules its delivery right away) or to a
-// sharded Cluster (staged mode: cross-tile sends are queued into the source
-// tile's outbox and routed at the window-barrier merge, where the shared
-// link-arbitration state is touched single-threadedly in canonical order).
+// windowed Cluster (staged mode: cross-tile sends are staged with the
+// source tile and routed at the window-barrier merge, where the shared
+// link-arbitration state is touched in canonical order).
 type Network struct {
 	cfg      Config
 	topo     Topology
@@ -99,12 +99,12 @@ func New(eng *sim.Engine, cfg Config, meter *energy.Meter, st *stats.Stats) *Net
 	return n
 }
 
-// NewSharded builds a network in staged mode on a tile cluster. Local
+// NewStaged builds a network in staged mode on a tile cluster. Local
 // (src == dst) sends schedule directly on the source tile's engine and
 // charge its meter; cross-tile sends are staged and routed at the window
 // merge, charging mergeMeter/mergeSt. One tile resource triple per node is
 // required.
-func NewSharded(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileStats []*stats.Stats, mergeMeter *energy.Meter, mergeSt *stats.Stats) *Network {
+func NewStaged(clu *sim.Cluster, cfg Config, tileMeters []*energy.Meter, tileStats []*stats.Stats, mergeMeter *energy.Meter, mergeSt *stats.Stats) *Network {
 	n := newNetwork(cfg)
 	if clu.Tiles() != n.Nodes() {
 		panic(fmt.Sprintf("noc: cluster has %d tiles for a %d-node %s", clu.Tiles(), n.Nodes(), n.topo.Name()))

@@ -219,12 +219,12 @@ func TestTopLinks(t *testing.T) {
 
 // TestWindowZeroLookaheadStagedGuard pins the staged-mode construction
 // guard by name: a config whose hop latency sums to zero has no lookahead
-// window at all, and NewSharded must refuse it loudly rather than build a
+// window at all, and NewStaged must refuse it loudly rather than build a
 // mesh whose cross-tile sends would land inside the current window.
 func TestWindowZeroLookaheadStagedGuard(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.RouterDelay, cfg.LinkDelay = 0, 0
-	clu := sim.NewCluster(cfg.Width*cfg.Height, 1, 1)
+	clu := sim.NewCluster(cfg.Width*cfg.Height, 1)
 	defer func() {
 		r := recover()
 		msg, ok := r.(string)
@@ -232,6 +232,6 @@ func TestWindowZeroLookaheadStagedGuard(t *testing.T) {
 			t.Errorf("panic %v, want the named zero-lookahead guard", r)
 		}
 	}()
-	NewSharded(clu, cfg, nil, nil, nil, nil)
-	t.Error("NewSharded accepted a zero-lookahead config")
+	NewStaged(clu, cfg, nil, nil, nil, nil)
+	t.Error("NewStaged accepted a zero-lookahead config")
 }

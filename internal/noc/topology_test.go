@@ -221,7 +221,7 @@ func TestTopologyRouteChainConsistency(t *testing.T) {
 // TestTopologyLookaheadBounds checks the staged-window contract on every
 // topology: a positive lookahead that never exceeds the cheapest possible
 // cross-node delivery, and Config.Lookahead agreeing with the model (the
-// sharded machine derives its window width from the former).
+// windowed machine derives its window width from the former).
 func TestTopologyLookaheadBounds(t *testing.T) {
 	for _, name := range Topologies() {
 		cfg := topoConfig(t, name, 24)
@@ -251,14 +251,14 @@ func TestTopologyLookaheadBounds(t *testing.T) {
 
 // TestTopologyWindowZeroLookaheadGuard pins the staged-mode guard for every
 // registered topology: zero hop latency means no conservative window, and
-// NewSharded must refuse it with the named panic rather than build a
+// NewStaged must refuse it with the named panic rather than build a
 // network whose cross-tile sends would land inside the current window.
 func TestTopologyWindowZeroLookaheadGuard(t *testing.T) {
 	for _, name := range Topologies() {
 		t.Run(name, func(t *testing.T) {
 			cfg := topoConfig(t, name, 24)
 			cfg.RouterDelay, cfg.LinkDelay = 0, 0
-			clu := sim.NewCluster(cfg.NodeCount(), 1, 1)
+			clu := sim.NewCluster(cfg.NodeCount(), 1)
 			defer func() {
 				r := recover()
 				msg, ok := r.(string)
@@ -266,8 +266,8 @@ func TestTopologyWindowZeroLookaheadGuard(t *testing.T) {
 					t.Errorf("panic %v, want the named zero-lookahead guard", r)
 				}
 			}()
-			NewSharded(clu, cfg, nil, nil, nil, nil)
-			t.Error("NewSharded accepted a zero-lookahead config")
+			NewStaged(clu, cfg, nil, nil, nil, nil)
+			t.Error("NewStaged accepted a zero-lookahead config")
 		})
 	}
 }

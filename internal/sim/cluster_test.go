@@ -7,27 +7,26 @@ import (
 	"testing"
 )
 
-// TestClusterConstruction pins the constructor contracts: shard clamping to
-// [1, tiles] and the tile/lookahead validation panics.
+// TestClusterConstruction pins the constructor contracts: the tile and
+// lookahead accessors, every tile sharing one engine, and the
+// tile/lookahead validation panics.
 func TestClusterConstruction(t *testing.T) {
-	if got := NewCluster(4, 2, 0).Shards(); got != 1 {
-		t.Errorf("shards=0 clamped to %d, want 1", got)
-	}
-	if got := NewCluster(4, 2, 99).Shards(); got != 4 {
-		t.Errorf("shards=99 clamped to %d, want 4 (tiles)", got)
-	}
-	c := NewCluster(6, 3, 2)
+	c := NewCluster(6, 3)
 	if c.Tiles() != 6 || c.Lookahead() != 3 {
 		t.Errorf("Tiles/Lookahead = %d/%d, want 6/3", c.Tiles(), c.Lookahead())
 	}
+	if c.Tile(0) != c.Tile(5) {
+		t.Error("tiles do not share one engine")
+	}
 	for _, build := range []func(){
-		func() { NewCluster(0, 2, 1) },
-		func() { NewCluster(4, 0, 1) },
+		func() { NewCluster(0, 2) },
+		func() { NewCluster(4, 0) },
+		func() { c.Tile(6) },
 	} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("invalid cluster construction did not panic")
+					t.Error("invalid cluster construction or tile index did not panic")
 				}
 			}()
 			build()
@@ -39,7 +38,7 @@ func TestClusterConstruction(t *testing.T) {
 // applied sorted by (at, source tile, staging index), regardless of the
 // order the tiles staged them in.
 func TestClusterMergeOrder(t *testing.T) {
-	c := NewCluster(3, 4, 1)
+	c := NewCluster(3, 4)
 	var got []string
 	rec := func(tag string) StagedHandler {
 		return func(at Cycle, arg any, aux uint64) {
@@ -69,7 +68,7 @@ func TestClusterMergeOrder(t *testing.T) {
 // future is reached in one window, and the window grid stays anchored at
 // cycle 0 in lookahead multiples (base is at/L*L, independent of history).
 func TestClusterSkipAhead(t *testing.T) {
-	c := NewCluster(2, 4, 1)
+	c := NewCluster(2, 4)
 	firedAt := Cycle(0)
 	c.Tile(1).At(1001, func() { firedAt = c.Tile(1).Now() })
 	fired, drained := c.Drain(10)
@@ -90,7 +89,7 @@ func TestClusterSkipAhead(t *testing.T) {
 // during the merge, Horizon names the next window start and handlers may
 // schedule there on any tile; the scheduled work fires in a later window.
 func TestClusterStagedHorizonScheduling(t *testing.T) {
-	c := NewCluster(2, 2, 1)
+	c := NewCluster(2, 2)
 	var deliveredAt Cycle
 	c.Tile(0).At(3, func() {
 		c.Stage(0, func(at Cycle, arg any, aux uint64) {
@@ -114,7 +113,7 @@ func TestClusterStagedHorizonScheduling(t *testing.T) {
 // TestClusterStageDuringMergePanics pins the protocol violation: staging
 // from a merge handler must panic (its window has already been merged).
 func TestClusterStageDuringMergePanics(t *testing.T) {
-	c := NewCluster(2, 2, 1)
+	c := NewCluster(2, 2)
 	c.Tile(0).At(1, func() {
 		c.Stage(0, func(at Cycle, arg any, aux uint64) {
 			c.Stage(1, func(Cycle, any, uint64) {}, nil, 0)
@@ -130,30 +129,25 @@ func TestClusterStageDuringMergePanics(t *testing.T) {
 	c.Drain(100)
 }
 
-// TestClusterPanicForwarding pins that a panic inside a shard worker is
-// re-raised on the goroutine that drives the cluster — with sharding, the
-// model violation must not kill a worker silently or crash the process.
+// TestClusterPanicForwarding pins that a model violation inside an event
+// surfaces as a panic on the goroutine that drives the cluster.
 func TestClusterPanicForwarding(t *testing.T) {
-	for _, shards := range []int{1, 2, 4} {
-		c := NewCluster(4, 2, shards)
-		c.Tile(3).At(5, func() { panic("model violation on tile 3") })
-		func() {
-			defer func() {
-				if r := recover(); r != "model violation on tile 3" {
-					t.Errorf("shards=%d: recovered %v, want the tile-3 panic", shards, r)
-				}
-			}()
-			c.Drain(100)
-			t.Errorf("shards=%d: Drain returned, want panic", shards)
-		}()
-	}
+	c := NewCluster(4, 2)
+	c.Tile(3).At(5, func() { panic("model violation on tile 3") })
+	defer func() {
+		if r := recover(); r != "model violation on tile 3" {
+			t.Errorf("recovered %v, want the tile-3 panic", r)
+		}
+	}()
+	c.Drain(100)
+	t.Error("Drain returned, want panic")
 }
 
 // TestClusterAlign pins the between-runs contract: after Drain + Align
 // every tile's clock sits on the window grid, so At(Now()+k) scheduling
 // between runs lands identically on all tiles and a second Drain works.
 func TestClusterAlign(t *testing.T) {
-	c := NewCluster(3, 4, 1)
+	c := NewCluster(3, 4)
 	c.Tile(2).At(6, func() {}) // leaves tile 2 at cycle 6, others behind
 	if _, drained := c.Drain(10); !drained {
 		t.Fatal("did not drain")
@@ -180,7 +174,7 @@ func TestClusterRunUntil(t *testing.T) {
 	// Local-only work never merges, so the run fuses straight to idle even
 	// though the predicate flips partway through: the flip is observed only
 	// at the idle check.
-	c := NewCluster(2, 2, 1)
+	c := NewCluster(2, 2)
 	count := 0
 	for i := Cycle(1); i <= 10; i++ {
 		c.Tile(int(i)%2).At(i, func() { count++ })
@@ -198,7 +192,7 @@ func TestClusterRunUntil(t *testing.T) {
 	// Cross-tile staging forces a merge at every window barrier; the
 	// predicate is evaluated at each one, so the run stops at the first
 	// barrier where it holds — after exactly 3 of the 5 staged windows.
-	c = NewCluster(2, 2, 1)
+	c = NewCluster(2, 2)
 	count = 0
 	noop := func(Cycle, any, uint64) {}
 	for i := 0; i < 5; i++ {
@@ -212,62 +206,5 @@ func TestClusterRunUntil(t *testing.T) {
 	}
 	if count != 3 {
 		t.Fatalf("count = %d at merge barrier, want exactly 3", count)
-	}
-}
-
-// TestClusterShardInvariantFiringLog is the unit-level determinism
-// differential: a fixed cross-tile event graph produces identical per-tile
-// firing logs and an identical merge log at every shard count.
-func TestClusterShardInvariantFiringLog(t *testing.T) {
-	type logs struct {
-		tiles [][]Cycle
-		merge []string
-	}
-	run := func(shards int) logs {
-		const tiles, lookahead = 8, 2
-		c := NewCluster(tiles, lookahead, shards)
-		l := logs{tiles: make([][]Cycle, tiles)}
-		// Each tile runs a self-rescheduling pump that periodically stages a
-		// cross-tile ping; the merge handler schedules the delivery on the
-		// destination tile at the horizon. Everything is a pure function of
-		// the initial schedule.
-		var pump func(ti int, hops int) func()
-		deliver := func(at Cycle, arg any, aux uint64) {
-			src, dst := int(aux>>8), int(aux&0xff)
-			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
-			h := c.Horizon()
-			hops := int(aux >> 16)
-			c.Tile(dst).At(h, pump(dst, hops))
-		}
-		pump = func(ti, hops int) func() {
-			return func() {
-				now := c.Tile(ti).Now()
-				l.tiles[ti] = append(l.tiles[ti], now)
-				if hops == 0 {
-					return
-				}
-				dst := (ti*5 + hops) % tiles
-				if dst == ti {
-					c.Tile(ti).After(3, pump(ti, hops-1))
-					return
-				}
-				c.Stage(ti, deliver, nil, uint64(hops-1)<<16|uint64(ti)<<8|uint64(dst))
-			}
-		}
-		for ti := 0; ti < tiles; ti++ {
-			c.Tile(ti).At(Cycle(ti%3), pump(ti, 6))
-		}
-		if _, drained := c.Drain(10_000); !drained {
-			t.Fatalf("shards=%d: did not drain", shards)
-		}
-		return l
-	}
-	want := run(1)
-	for _, shards := range []int{2, 3, 8} {
-		got := run(shards)
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("shards=%d: firing logs diverge from sequential:\n got %+v\nwant %+v",
-				shards, got, want)
-		}
 	}
 }

@@ -65,7 +65,6 @@ type Engine struct {
 	now   Cycle
 	seq   uint64
 	fired uint64
-	label string // identifies this engine (tile/shard) in panic messages
 
 	slots      [wheelSize]bucket
 	occ        [wheelWords]uint64 // occupancy bitmap over slots
@@ -73,36 +72,10 @@ type Engine struct {
 
 	overflow []*event // min-heap on (at, seq)
 	free     *event   // intrusive free list of recycled records
-
-	// minSched is the lowest cycle scheduled since the last takeMinSched
-	// (noMinSched when none). The cluster's window scheduler uses it to
-	// update its per-tile next-event cache after a merge without rescanning
-	// the wheel: merge handlers run while the tile is quiescent, so any
-	// cycle they schedule is captured here.
-	minSched Cycle
-}
-
-// noMinSched is minSched's "nothing scheduled" sentinel: the maximum
-// cycle, unreachable by real events. NewCluster arms each tile with it; a
-// standalone zero-valued Engine leaves minSched at 0, which is harmless
-// because only the cluster reads the tracker.
-const noMinSched = ^Cycle(0)
-
-// takeMinSched returns the lowest cycle scheduled since the previous call
-// (or noMinSched) and resets the tracker.
-func (e *Engine) takeMinSched() Cycle {
-	m := e.minSched
-	e.minSched = noMinSched
-	return m
 }
 
 // Now returns the current simulated cycle.
 func (e *Engine) Now() Cycle { return e.now }
-
-// SetLabel attaches an identifying label (for example "tile 7") that is
-// included in scheduling-error panics, so a violation inside a sharded run
-// names the engine it occurred on.
-func (e *Engine) SetLabel(label string) { e.label = label }
 
 // Fired returns the total number of events fired since construction (the
 // denominator of the events/sec throughput metric).
@@ -133,16 +106,9 @@ func (e *Engine) recycle(ev *event) {
 // schedule allocates, stamps, and enqueues a record for cycle at.
 func (e *Engine) schedule(at Cycle) *event {
 	if at < e.now {
-		where := ""
-		if e.label != "" {
-			where = " on " + e.label
-		}
-		panic(fmt.Sprintf("sim: event scheduled in the past%s (event at cycle %d, now cycle %d)", where, at, e.now))
+		panic(fmt.Sprintf("sim: event scheduled in the past (event at cycle %d, now cycle %d)", at, e.now))
 	}
 	e.seq++
-	if at < e.minSched {
-		e.minSched = at
-	}
 	ev := e.alloc()
 	ev.at = at
 	ev.seq = e.seq
@@ -272,9 +238,9 @@ func (e *Engine) RunTo(deadline Cycle) { e.runTo(deadline) }
 // runTo is RunTo fused with the follow-up NextAt: it fires every event at
 // or before deadline with a single queue scan per event (Step via NextAt
 // would scan twice), advances the clock to deadline, and returns the cycle
-// of the next pending event. The window scheduler in Cluster drains every
-// tile of a window through this, caching the returned cycle so idle tiles
-// are skipped without rescanning their queues.
+// of the next pending event. The window scheduler in Cluster drains each
+// window through this, caching the returned cycle so a merge-free barrier
+// needs no rescan to find the next window.
 func (e *Engine) runTo(deadline Cycle) (next Cycle, ok bool) {
 	for {
 		wAt, wSlot, wOk := e.nextWheel()

@@ -11,24 +11,22 @@ import (
 // lookahead of a single cycle, zero-lookahead construction guards, and
 // same-cycle cross-tile effects landing on the barrier boundary. Each
 // event graph must produce identical per-tile firing logs and an
-// identical merge log on the single-shard fast path, the windowed
-// sequential layout (the PR-7 oracle), and sharded worker pools — the
+// identical merge log on Cluster (one shared engine, one staging buffer)
+// and on the per-tile reference layout of reference_test.go — the
 // windowed-schedule contract of DESIGN.md §12.
 
-// winLog records what a cluster run did: per-tile firing logs (tiles are
-// drained concurrently under sharding, so logs must be tile-private) and
-// the coordinator-only merge log.
+// winLog records what a cluster run did: per-tile firing logs and the
+// merge log.
 type winLog struct {
 	tiles [][]string
 	merge []string
 }
 
-// runWindowGraph builds a cluster in the given mode, lets build schedule
-// the event graph, drains it, and returns the logs.
-func runWindowGraph(t *testing.T, tiles int, lookahead Cycle, shards int, fast bool, build func(c *Cluster, l *winLog)) winLog {
+// runWindowGraph lets build schedule the event graph on c, drains it, and
+// returns the logs.
+func runWindowGraph(t *testing.T, c windowed, build func(c windowed, l *winLog)) winLog {
 	t.Helper()
-	c := newCluster(tiles, lookahead, shards, fast)
-	l := winLog{tiles: make([][]string, tiles)}
+	l := winLog{tiles: make([][]string, c.Tiles())}
 	build(c, &l)
 	if _, drained := c.Drain(1_000_000); !drained {
 		t.Fatal("did not drain")
@@ -36,24 +34,14 @@ func runWindowGraph(t *testing.T, tiles int, lookahead Cycle, shards int, fast b
 	return l
 }
 
-// assertWindowInvariant runs the graph on the fast path and then on the
-// windowed layouts, requiring identical logs everywhere. The fast path is
-// the "want" side deliberately: any divergence names the mode that broke.
-func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(c *Cluster, l *winLog)) {
+// assertWindowInvariant runs the graph on the reference layout and on
+// Cluster, requiring identical logs. The reference is the "want" side.
+func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(c windowed, l *winLog)) {
 	t.Helper()
-	want := runWindowGraph(t, tiles, lookahead, 1, true, build)
-	for _, cf := range []struct {
-		name   string
-		shards int
-	}{
-		{"windowed-seq", 1},
-		{"shards-2", 2},
-		{"shards-4", 4},
-	} {
-		got := runWindowGraph(t, tiles, lookahead, cf.shards, false, build)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s diverges from fast path:\n got %+v\nwant %+v", cf.name, got, want)
-		}
+	want := runWindowGraph(t, newRefCluster(tiles, lookahead), build)
+	got := runWindowGraph(t, NewCluster(tiles, lookahead), build)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("Cluster diverges from the reference:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -65,7 +53,7 @@ func assertWindowInvariant(t *testing.T, tiles int, lookahead Cycle, build func(
 func TestWindowEdgeEvents(t *testing.T) {
 	const tiles = 4
 	const L = Cycle(4)
-	assertWindowInvariant(t, tiles, L, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, L, func(c windowed, l *winLog) {
 		rec := func(ti int, tag string) {
 			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.Tile(ti).Now()))
 		}
@@ -97,7 +85,7 @@ func TestWindowEdgeEvents(t *testing.T) {
 // a boundary event.
 func TestWindowLookaheadOne(t *testing.T) {
 	const tiles = 4
-	assertWindowInvariant(t, tiles, 1, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, 1, func(c windowed, l *winLog) {
 		rec := func(ti int, tag string) {
 			l.tiles[ti] = append(l.tiles[ti], fmt.Sprintf("%s@%d", tag, c.Tile(ti).Now()))
 		}
@@ -131,7 +119,7 @@ func TestWindowLookaheadOne(t *testing.T) {
 func TestWindowSameCycleCrossTileAtBarrier(t *testing.T) {
 	const tiles = 4
 	const L = Cycle(2)
-	assertWindowInvariant(t, tiles, L, func(c *Cluster, l *winLog) {
+	assertWindowInvariant(t, tiles, L, func(c windowed, l *winLog) {
 		deliver := func(at Cycle, arg any, aux uint64) {
 			src, dst := int(aux>>8), int(aux&0xff)
 			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
@@ -155,15 +143,15 @@ func TestWindowSameCycleCrossTileAtBarrier(t *testing.T) {
 }
 
 // TestWindowZeroLookaheadPanics pins the construction guard by name: a
-// windowless cluster cannot exist, in any mode, and the panic says why.
+// windowless cluster cannot exist, in either layout, and the panic says
+// why.
 func TestWindowZeroLookaheadPanics(t *testing.T) {
 	for _, build := range []struct {
 		name string
 		fn   func()
 	}{
-		{"fast", func() { NewCluster(4, 0, 1) }},
-		{"windowed", func() { newCluster(4, 0, 1, false) }},
-		{"sharded", func() { NewCluster(4, 0, 4) }},
+		{"cluster", func() { NewCluster(4, 0) }},
+		{"reference", func() { newRefCluster(4, 0) }},
 	} {
 		func() {
 			defer func() {
@@ -179,40 +167,61 @@ func TestWindowZeroLookaheadPanics(t *testing.T) {
 	}
 }
 
-// TestWindowStatsCounters pins the observability counters on both paths:
-// windows and merges are schedule-determined (identical across modes),
-// the fast-path flag reflects the mode, and steals only ever appear on
-// worker pools.
+// TestWindowStatsCounters pins the observability counters: windows,
+// merges, staged effects and events are schedule-determined, so Cluster
+// and the reference layout report identical values.
 func TestWindowStatsCounters(t *testing.T) {
-	build := func(c *Cluster) {
+	build := func(c windowed) WindowStats {
 		noop := func(Cycle, any, uint64) {}
 		for i := 0; i < 4; i++ {
 			i := i
 			c.Tile(i).At(Cycle(2*i+1), func() { c.Stage(i, noop, nil, 0) })
 		}
+		c.Drain(1000)
+		return c.WindowStats()
 	}
-	fast := newCluster(4, 2, 1, true)
-	build(fast)
-	fast.Drain(1000)
-	fs := fast.WindowStats()
-	if !fs.FastPath {
-		t.Error("fast cluster reports FastPath=false")
+	cs := build(NewCluster(4, 2))
+	if cs.Merges != 4 || cs.Staged != 4 {
+		t.Errorf("merges/staged = %d/%d, want 4/4", cs.Merges, cs.Staged)
 	}
-	if fs.Merges != 4 || fs.Staged != 4 {
-		t.Errorf("fast: merges/staged = %d/%d, want 4/4", fs.Merges, fs.Staged)
+	if cs.Events != 4 || cs.Windows == 0 || cs.MaxWindow != 1 {
+		t.Errorf("events/windows/max = %d/%d/%d, want 4/>0/1", cs.Events, cs.Windows, cs.MaxWindow)
 	}
-	if fs.Events != 4 || fs.Windows == 0 || fs.Steals != 0 {
-		t.Errorf("fast: events/windows/steals = %d/%d/%d, want 4/>0/0", fs.Events, fs.Windows, fs.Steals)
+	if rs := build(newRefCluster(4, 2)); rs != cs {
+		t.Errorf("reference counters %+v diverge from Cluster %+v", rs, cs)
 	}
+}
 
-	win := newCluster(4, 2, 1, false)
-	build(win)
-	win.Drain(1000)
-	ws := win.WindowStats()
-	if ws.FastPath {
-		t.Error("windowed cluster reports FastPath=true")
-	}
-	if ws.Windows != fs.Windows || ws.Merges != fs.Merges || ws.Events != fs.Events {
-		t.Errorf("windowed counters %+v diverge from fast %+v", ws, fs)
-	}
+// TestWindowPumpFiringLog is the unit-level determinism differential over
+// a longer cross-tile event graph: every tile runs a self-rescheduling
+// pump that periodically stages a ping to another tile, and the merge
+// handler schedules the delivery on the destination tile at the horizon.
+// Cluster and the reference layout must log identical firings and merges.
+func TestWindowPumpFiringLog(t *testing.T) {
+	const tiles = 8
+	assertWindowInvariant(t, tiles, 2, func(c windowed, l *winLog) {
+		var pump func(ti int, hops int) func()
+		deliver := func(at Cycle, arg any, aux uint64) {
+			src, dst := int(aux>>8&0xff), int(aux&0xff)
+			l.merge = append(l.merge, fmt.Sprintf("%d->%d@%d", src, dst, at))
+			c.Tile(dst).At(c.Horizon(), pump(dst, int(aux>>16)))
+		}
+		pump = func(ti, hops int) func() {
+			return func() {
+				l.tiles[ti] = append(l.tiles[ti], fmt.Sprint(c.Tile(ti).Now()))
+				if hops == 0 {
+					return
+				}
+				dst := (ti*5 + hops) % tiles
+				if dst == ti {
+					c.Tile(ti).After(3, pump(ti, hops-1))
+					return
+				}
+				c.Stage(ti, deliver, nil, uint64(hops-1)<<16|uint64(ti)<<8|uint64(dst))
+			}
+		}
+		for ti := 0; ti < tiles; ti++ {
+			c.Tile(ti).At(Cycle(ti%3), pump(ti, 6))
+		}
+	})
 }

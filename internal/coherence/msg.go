@@ -145,13 +145,11 @@ type Msg struct {
 	next *Msg
 }
 
-// MsgPool recycles Msg records. Each pool is only ever touched from one
-// goroutine at a time — the machine gives every mesh tile its own pool
-// and drives all tiles from the engine goroutine — so the free list needs
-// no locking. Records drift between pools as messages
-// cross tiles (the receiver frees into its own pool), which is harmless.
-// A nil *MsgPool is valid and degrades to plain allocation, which keeps
-// test rigs that build controllers directly working unchanged.
+// MsgPool recycles Msg records. The machine shares one pool among all its
+// controllers and drives them from a single goroutine, so the free list
+// needs no locking. A nil *MsgPool is valid and degrades to plain
+// allocation, which keeps test rigs that build controllers directly
+// working unchanged.
 //
 // Ownership discipline: the receiver frees. A controller that finishes
 // handling a message Puts it back — except messages it retains (a

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"io"
 	"net"
 	"net/http"
@@ -53,7 +52,7 @@ func TestRemoteCacheReadoptsRestartedServer(t *testing.T) {
 	ts.Listener = ln
 	ts.Start()
 
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	rc, err := NewRemoteCache(RemoteConfig{
 		URL:     "http://" + addr,
 		Timeout: time.Second,
@@ -110,7 +109,7 @@ func TestRemoteCacheFailsOverToStandby(t *testing.T) {
 	standby := httptest.NewServer(NewCacheServer(store))
 	defer standby.Close()
 
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	rc, err := NewRemoteCache(RemoteConfig{
 		URLs:    []string{primary.URL, standby.URL},
 		Timeout: time.Second,

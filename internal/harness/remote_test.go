@@ -5,10 +5,30 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 )
+
+// lockedBuffer is a log sink safe for concurrent use: a RemoteCache logs
+// from its background prober while the test reads the log.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 // newTestRemote starts a gwcached-equivalent server over a MemCache and
 // returns a client for it with test-friendly (fast) retry settings.
@@ -79,7 +99,7 @@ func TestRemoteCacheUnreachableDegradesOnce(t *testing.T) {
 	url := ts.URL
 	ts.Close() // nothing listens here anymore
 
-	var logBuf bytes.Buffer
+	var logBuf lockedBuffer
 	rc, err := NewRemoteCache(RemoteConfig{
 		URL:     url,
 		Timeout: time.Second,

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ghostwriter/internal/cache"
@@ -147,10 +148,15 @@ func TestMigrationForfeitsApproxState(t *testing.T) {
 func TestMigrationToOccupiedCorePanics(t *testing.T) {
 	// The violation is detected in the engine, so the panic surfaces from
 	// Run itself; the machine is unusable afterwards (as any panic leaves
-	// it), which is fine for a validation test.
+	// it), which is fine for a validation test. The kernels parked at the
+	// barrier must not outlive Run.
+	before := runtime.NumGoroutine()
 	defer func() {
 		if recover() == nil {
 			t.Error("migration onto a live thread's core must panic")
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%d goroutines after Run panicked, %d before: kernels leaked", n, before)
 		}
 	}()
 	m := New(DefaultConfig())
@@ -160,6 +166,35 @@ func TestMigrationToOccupiedCorePanics(t *testing.T) {
 		}
 		th.Barrier()
 	})
+}
+
+// TestKernelPanicSurfacesFromRun: a kernel that panics mid-run makes Run
+// re-panic on the caller's goroutine with the kernel's own value, and the
+// other kernels, parked at a barrier or waiting on a load, are reclaimed
+// rather than leaked.
+func TestKernelPanicSurfacesFromRun(t *testing.T) {
+	type boom struct{ id int }
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m := New(DefaultConfig())
+		a := m.AllocPadded(4 * 8)
+		m.Run(4, func(th *Thread) {
+			th.Load64(a + mem.Addr(8*th.ID()))
+			if th.ID() == 2 {
+				panic(boom{th.ID()})
+			}
+			th.Barrier()
+			th.Load64(a)
+		})
+	}()
+	if got != (boom{2}) {
+		t.Fatalf("Run panicked with %v, want the kernel's boom{2}", got)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Run panicked, %d before: kernels leaked", n, before)
+	}
 }
 
 // TestBaselineUnaffectedByKnobs: the error bound and policy knobs must not

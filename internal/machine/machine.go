@@ -195,21 +195,13 @@ func New(cfg Config) *Machine {
 	if cfg.L2PerCoreBytes > 0 {
 		dirCfg.CapacityBlocks = cfg.L2PerCoreBytes * cfg.Cores / len(cfg.DirNodes) / cfg.L1.BlockSize
 	}
-	// One message pool per mesh node: a tile's components allocate and
-	// free only from their own worker goroutine (the receiver frees, and a
-	// delivered message belongs to the receiving tile), so the intrusive
-	// free lists stay lock-free. Records drift between pools as messages
-	// cross tiles, which is harmless — a pool is just a recycling bin.
-	pools := make([]*coherence.MsgPool, nodes)
-	for i := range pools {
-		pools[i] = &coherence.MsgPool{}
-	}
+	pool := &coherence.MsgPool{}
 	dirAt := make(map[noc.NodeID]*coherence.Directory)
 	for i, n := range m.dirNode {
 		eng, meter, st := m.clu.Tile(int(n)), m.tileMeters[n], m.tileStats[n]
 		ch := dram.NewChannel(eng, cfg.DRAM, m.backing, meter, st)
 		d := coherence.NewDirectory(i, n, eng, m.net, dirCfg, ch, meter, st)
-		d.UsePool(pools[n])
+		d.UsePool(pool)
 		m.dirs = append(m.dirs, d)
 		dirAt[n] = d
 	}
@@ -228,7 +220,7 @@ func New(cfg Config) *Machine {
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		l1 := coherence.NewL1(i, m.clu.Tile(i), m.net, l1Cfg, home, m.tileMeters[i], m.tileStats[i])
-		l1.UsePool(pools[i])
+		l1.UsePool(pool)
 		m.l1s = append(m.l1s, l1)
 	}
 

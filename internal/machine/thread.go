@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"iter"
 
 	"ghostwriter/internal/approx"
 	"ghostwriter/internal/coherence"
@@ -14,6 +15,9 @@ import (
 // must be per-thread (or read-only) for the simulation to stay
 // deterministic.
 type Kernel func(t *Thread)
+
+// errStopped unwinds a kernel that Run abandons (see Thread.do).
+var errStopped = new(int)
 
 type reqKind uint8
 
@@ -52,8 +56,6 @@ type Thread struct {
 	core     int
 	nthreads int
 	m        *Machine
-	req      chan threadReq
-	res      chan uint64
 	ddist    int
 	pending  uint64 // kernel-side compute cycles awaiting the next request
 	barrier  bool
@@ -67,6 +69,12 @@ type Thread struct {
 	barrierCyc   sim.Cycle
 	finish       sim.Cycle
 
+	// The kernel runs as a pull-coroutine: it yields each request to the
+	// engine (yield) and the engine resumes it for the next one (next).
+	yield func(threadReq) bool
+	next  func() (threadReq, bool)
+	val   uint64 // result of the last memory op, read when resumed
+
 	// Reusable memory-op record and its issue timestamp: the core is
 	// blocking, so one record per thread suffices and the hot path builds
 	// no per-op allocation.
@@ -77,10 +85,9 @@ type Thread struct {
 	// blocking, so at most one request is in flight.
 	hold threadReq
 	// Callbacks bound once per run.
-	doneFn   func(uint64)
-	issueFn  sim.Event
-	resumeFn sim.Event
-	applyFn  sim.Event
+	doneFn  func(uint64)
+	issueFn sim.Event
+	applyFn sim.Event
 }
 
 // ID returns the thread's index in [0, N).
@@ -107,44 +114,39 @@ func (t *Thread) ApproxDist() int { return t.ddist }
 // thread now runs against a cold cache, so those updates are effectively
 // forfeited from its point of view. The target core must not be running
 // another live thread. Migration charges a fixed context-switch cost.
-func (t *Thread) Migrate(core int) {
-	t.req <- threadReq{kind: reqMigrate, n: uint64(core), fold: t.takePending()}
-	<-t.res
-}
+func (t *Thread) Migrate(core int) { t.do(threadReq{kind: reqMigrate, n: uint64(core)}) }
 
 // Core returns the core the thread currently runs on.
 func (t *Thread) Core() int { return t.core }
 
 // Compute charges n core cycles of non-memory work. The cycles are
 // accumulated kernel-side and folded into the thread's next request (memory
-// op, barrier, migration, or completion), which the engine then delays by
-// exactly that many cycles — cycle-for-cycle what a separate engine
-// round-trip per Compute would simulate, without the host-side handshake.
+// op, barrier, migration or sync), which the engine then delays by exactly
+// that many cycles: the timing of a separate compute step, in one engine
+// event instead of one per Compute call. Cycles still pending when the
+// kernel returns are not charged.
 func (t *Thread) Compute(n uint64) { t.pending += n }
 
-// takePending drains the folded-compute accumulator for an outgoing request.
-func (t *Thread) takePending() uint64 {
-	n := t.pending
-	t.pending = 0
-	return n
+// do hands r, carrying the compute cycles folded so far, to the engine and
+// suspends the kernel until the engine resumes it. If Run abandons the
+// kernel instead (another kernel or the engine panicked), yield reports
+// false and the kernel unwinds with errStopped.
+func (t *Thread) do(r threadReq) {
+	r.fold, t.pending = t.pending, 0
+	if !t.yield(r) {
+		panic(errStopped)
+	}
 }
 
 // Barrier blocks until every live thread has reached a barrier.
-func (t *Thread) Barrier() {
-	t.req <- threadReq{kind: reqBarrier, fold: t.takePending()}
-	<-t.res
-}
+func (t *Thread) Barrier() { t.do(threadReq{kind: reqBarrier}) }
 
-// Sync blocks until every prior operation of this thread — run-ahead
-// stores and folded compute cycles included — has taken effect in the
-// simulator, at zero simulated cost: the next operation issues on exactly
-// the cycle it would have without the Sync. While the caller is between
-// Sync and its next Thread call, the thread's tile is quiescent, which is
-// what test kernels need to peek at cache or statistics state mid-run.
-func (t *Thread) Sync() {
-	t.req <- threadReq{kind: reqSync, fold: t.takePending()}
-	<-t.res
-}
+// Sync lets this thread's folded compute cycles elapse in the simulator, at
+// zero simulated cost: the next operation issues on exactly the cycle it
+// would have without the Sync. While the caller is between Sync and its
+// next Thread call, the thread's tile is quiescent, which is what test
+// kernels need to peek at cache or statistics state mid-run.
+func (t *Thread) Sync() { t.do(threadReq{kind: reqSync}) }
 
 func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint64 {
 	d := t.ddist
@@ -154,16 +156,8 @@ func (t *Thread) mem(op coherence.OpKind, a mem.Addr, width int, v uint64) uint6
 		// scribbled ("an undesirable level of approximation").
 		d = 8*width - 1
 	}
-	t.req <- threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d, fold: t.takePending()}
-	if op == coherence.OpLoad || op == coherence.OpAtomicAdd {
-		return <-t.res
-	}
-	// Stores and scribbles return no data, so the kernel goroutine runs
-	// ahead instead of blocking for the completion. The simulated core
-	// still blocks: the engine picks up the next queued request only one
-	// cycle after this one completes, so timing is identical — the host
-	// just saves a goroutine wakeup per store.
-	return 0
+	t.do(threadReq{kind: reqMem, op: op, addr: a, width: width, value: v, d: d})
+	return t.val
 }
 
 // Load8 loads one byte.
@@ -251,7 +245,9 @@ func (t *Thread) eng() *sim.Engine { return t.m.clu.Tile(t.core) }
 
 // Run executes kernel on nthreads simulated threads (thread i pinned to
 // core i) until all of them return, then drains in-flight protocol traffic.
-// It returns the elapsed simulated cycles.
+// It returns the elapsed simulated cycles. Each kernel is a coroutine that
+// the engine resumes on the caller's goroutine, so a kernel's panic
+// surfaces from Run with the kernel's own value.
 func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	if nthreads <= 0 || nthreads > m.cfg.Cores {
 		panic(fmt.Sprintf("machine: %d threads on %d cores", nthreads, m.cfg.Cores))
@@ -263,30 +259,26 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 			core:     i,
 			nthreads: nthreads,
 			m:        m,
-			// Capacity 1 lets the kernel goroutine hand a request (and the
-			// engine hand a result) over without a blocking rendezvous: a
-			// blocking core has at most one request in flight, so the
-			// buffer never changes ordering — only the number of host
-			// context switches per memory op.
-			req:   make(chan threadReq, 1),
-			res:   make(chan uint64, 1),
-			ddist: -1,
+			ddist:    -1,
 		}
+		var stop func()
+		t.next, stop = iter.Pull(func(yield func(threadReq) bool) {
+			defer func() {
+				if p := recover(); p != nil && p != errStopped {
+					panic(p)
+				}
+			}()
+			t.yield = yield
+			kernel(t)
+		})
+		defer stop()
 		t.issueFn = func() { m.issue(t) }
 		t.doneFn = func(v uint64) {
 			t.ops++
 			eng := t.eng()
 			t.memCycles += eng.Now() - t.issuedAt
-			// Only value-returning ops have a kernel goroutine waiting;
-			// stores and scribbles ran ahead (see Thread.mem).
-			if k := t.op.Kind; k == coherence.OpLoad || k == coherence.OpAtomicAdd {
-				t.res <- v
-			}
+			t.val = v
 			eng.After(1, t.issueFn)
-		}
-		t.resumeFn = func() {
-			t.res <- 0
-			m.issue(t)
 		}
 		t.applyFn = func() { m.apply(t, t.hold) }
 		m.threads = append(m.threads, t)
@@ -298,11 +290,6 @@ func (m *Machine) Run(nthreads int, kernel Kernel) uint64 {
 	}
 	start := m.clu.Now()
 	for _, t := range m.threads {
-		t := t
-		go func() {
-			kernel(t)
-			t.req <- threadReq{kind: reqDone}
-		}()
 		t.eng().After(0, t.issueFn)
 	}
 	m.clu.RunUntil(func() bool { return m.active == 0 })
@@ -340,14 +327,18 @@ const (
 	auxThreadMigrate
 )
 
-// issue receives the thread's next request; this is the strict engine ↔
-// kernel handoff that keeps the simulation deterministic. It runs as an
-// event of the thread's current tile, so it may touch the thread and the
-// tile freely but machine-global thread state only via staging. A request
+// issue resumes the kernel for its next request; a kernel that has
+// returned yields the done request. This is the strict engine ↔ kernel
+// handoff that keeps the simulation deterministic. It runs as an event of
+// the thread's current tile, so it may touch the thread and the tile
+// freely but machine-global thread state only via staging. A request
 // carrying folded compute cycles is parked and applied once they elapse,
 // reproducing the timing of a separate compute step exactly.
 func (m *Machine) issue(t *Thread) {
-	r := <-t.req
+	r, ok := t.next()
+	if !ok {
+		r = threadReq{kind: reqDone}
+	}
 	if r.fold > 0 {
 		t.computeCyc += sim.Cycle(r.fold)
 		t.hold = r
@@ -385,9 +376,7 @@ func (m *Machine) apply(t *Thread, r threadReq) {
 		m.clu.Stage(t.core, m.threadMerge, t, auxThreadBarrier)
 	case reqSync:
 		// Everything the thread issued earlier has completed (requests are
-		// applied one at a time); release the kernel and wait for its next
-		// request at the same cycle.
-		t.res <- 0
+		// applied one at a time); resume the kernel at the same cycle.
 		m.issue(t)
 	case reqDone:
 		t.done = true
@@ -420,7 +409,7 @@ func (m *Machine) threadMerge(at sim.Cycle, arg any, aux uint64) {
 		// Resume on the new core's tile. The migration cost dwarfs the
 		// lookahead window (checked at construction), so the resume cycle
 		// is always at or past the merge horizon.
-		m.clu.Tile(t.core).At(at+migrationCost, t.resumeFn)
+		m.clu.Tile(t.core).At(at+migrationCost, t.issueFn)
 	}
 }
 
@@ -438,7 +427,6 @@ func (m *Machine) releaseBarrier(at sim.Cycle) {
 		}
 		u.barrier = false
 		u.barrierCyc += at - u.barrierSince
-		u.res <- 0
 		// Schedule at the absolute merge horizon, not relative to the
 		// tile's clock: a tile idle while its thread waited may have been
 		// skipped by recent window drains, leaving its clock behind the

@@ -186,8 +186,8 @@ func (n *Network) Flits(payloadBytes int) int {
 // route returns the topology's route as a sequence of directed-link ids. The
 // returned slice aliases the network's scratch buffer and is only valid
 // until the next route call. Routing happens only where link arbitration
-// does — in immediate-mode Send (single-threaded engine) or in the staged
-// merge phase (coordinator goroutine) — so the scratch buffer needs no
+// does — in immediate-mode Send or in the staged merge phase, both on the
+// one goroutine that drives the engine — so the scratch buffer needs no
 // locking.
 func (n *Network) route(src, dst NodeID) []int {
 	n.routeBuf = n.topo.Route(n.routeBuf[:0], src, dst)
